@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos check bench bench-json clean
+.PHONY: all build vet lint lint-json test race chaos perfbench check bench clean
 
 all: check
 
@@ -41,20 +41,17 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos$$' ./internal/chaos -v
 
-check: build vet lint race chaos
+# perfbench is its own module (see perfbench/README.md), so ./... above
+# never compiles it; vet and test it here so a change to the public API
+# cannot break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet lint race chaos perfbench
 
 # Quick smoke of the benchmark harness (full runs via cmd/rankbench).
 bench:
 	$(GO) run ./cmd/rankbench -exp fig3.4 -scale 0.02 -queries 3
-
-# Perf-trajectory snapshot: run the canonical root benchmarks and record
-# them as BENCH_<short-hash>.json so future PRs can diff against this
-# commit. Override the set with BENCH_PATTERN='Fig5_|PublicAPI' etc.
-BENCH_PATTERN ?= Fig4_12|PublicAPI
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
-		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
-			-out "BENCH_$$(git rev-parse --short HEAD).json"
 
 clean:
 	$(GO) clean ./...

@@ -6,6 +6,7 @@
 package rankcube_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -47,7 +48,7 @@ func gridFixture() {
 	gridOnce.Do(func() {
 		gridTb = dataset.Synthetic(benchRows, 3, 2, 20, table.Uniform, 1)
 		gridCube = gridcube.Build(gridTb, gridcube.Config{})
-		h := baselines.NewHeapFile(gridTb, 0)
+		h := baselines.NewHeapFile(gridTb)
 		gridBL = baselines.NewBooleanFirst(h)
 		gridRM = baselines.NewRankMapping(gridTb, 0)
 		fragTb := dataset.Synthetic(benchRows, 12, 2, 20, table.Uniform, 1)
@@ -71,7 +72,7 @@ func sigFixture() {
 	sigOnce.Do(func() {
 		sigTb = dataset.Synthetic(benchRows, 3, 3, 100, table.Uniform, 2)
 		sigCube = sigcube.Build(sigTb, sigcube.Config{})
-		sigHeap = baselines.NewHeapFile(sigTb, 0)
+		sigHeap = baselines.NewHeapFile(sigTb)
 		sigBool = baselines.NewBooleanFirst(sigHeap)
 		sigRF = baselines.NewRankingFirst(sigHeap, sigCube.Tree().(*rtree.Tree))
 		skylEng = skyline.NewEngine(sigCube)
@@ -681,7 +682,7 @@ func BenchmarkPublicAPI_SignatureTopK(b *testing.B) {
 	cube := rankcube.BuildSignatureCube(rel, rankcube.SigOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.TopK(rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10, nil); err != nil {
+		if _, err := cube.Query(context.Background(), rankcube.Cond{0: 1}, rankcube.Sum(0, 1), 10); err != nil {
 			b.Fatal(err)
 		}
 	}

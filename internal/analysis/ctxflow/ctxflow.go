@@ -15,8 +15,9 @@
 // variable (`if ctx == nil { ctx = context.Background() }`): it replaces a
 // context the caller declined to provide rather than discarding one.
 // Library packages (rankcube/internal/...) may not mint fresh contexts at
-// all outside that shape; the public root package's legacy wrappers (TopK
-// delegating to TopKCtx) are the documented bridge and remain allowed.
+// all outside that shape; packages outside the prefix (the public root,
+// commands, examples) may start from Background where no caller context
+// exists.
 //
 // A third bug shape hides a context in a struct: a context.Context struct
 // field outlives the call that stored it, so cancellation silently follows

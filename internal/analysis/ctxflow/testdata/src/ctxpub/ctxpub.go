@@ -1,6 +1,6 @@
 // Package ctxpub exercises ctxflow outside the library prefix: the public
-// package may run legacy wrappers on a background context (the documented
-// bridge), but still may not discard an in-scope caller context.
+// package may start from a background context where no caller context
+// exists, but still may not discard an in-scope caller context.
 package ctxpub
 
 import "context"

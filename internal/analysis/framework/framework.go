@@ -3,14 +3,12 @@
 // that inspects one type-checked package (a Pass) and reports Diagnostics.
 //
 // The build environment of this repository is hermetic — no module proxy —
-// so x/tools cannot be vendored; this package mirrors its API shape
-// (Analyzer, Pass, Reportf, object/package facts) closely enough that the
-// analyzers in the sibling packages can be ported to the real framework
-// mechanically if the dependency ever becomes available. Beyond the
-// original subset, the framework now carries in-memory facts (facts.go)
-// for cross-package propagation and loads dependency type information
-// from compiler export data (loader.go) instead of re-type-checking the
-// standard library from source on every run.
+// so x/tools cannot be vendored; this package borrows its API shape
+// (Analyzer, Pass, Reportf, object facts) and implements only what the
+// sibling analyzers use. Facts (facts.go) are in-memory and attach to
+// objects, for cross-package propagation; dependency type information is
+// loaded from compiler export data (loader.go) instead of re-type-checking
+// the standard library from source on every run.
 package framework
 
 import (

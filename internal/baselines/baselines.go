@@ -35,15 +35,27 @@ type HeapFile struct {
 	rowsPage int
 }
 
-// NewHeapFile pages the relation at the given page size (0 = default).
-func NewHeapFile(t *table.Table, pageSize int) *HeapFile {
-	store := pager.NewStore(stats.StructTable, pageSize)
+// rowsPerPage is the heap file's packing: whole rows per page at the
+// default page size, at least one.
+func rowsPerPage(t *table.Table) int {
+	return max(pager.PageSize/t.RowBytes(), 1)
+}
+
+// ScanPages is the number of pages one sequential pass over t reads: its
+// heap file's page count. Every exact scan charges this, so the degraded
+// cube paths, the baselines, and the skyline and join fallbacks agree on
+// the cost of the floor.
+func ScanPages(t *table.Table) int64 {
+	rows := rowsPerPage(t)
+	return int64((t.Len() + rows - 1) / rows)
+}
+
+// NewHeapFile pages the relation at the default page size.
+func NewHeapFile(t *table.Table) *HeapFile {
+	store := pager.NewStore(stats.StructTable, pager.PageSize)
 	rowBytes := t.RowBytes()
-	rowsPage := store.PageSize() / rowBytes
-	if rowsPage < 1 {
-		rowsPage = 1
-	}
-	n := (t.Len() + rowsPage - 1) / rowsPage
+	rowsPage := rowsPerPage(t)
+	n := int(ScanPages(t))
 	for i := 0; i < n; i++ {
 		rows := rowsPage
 		if i == n-1 {
@@ -73,6 +85,34 @@ func (h *HeapFile) ScanAll(ctr *stats.Counters) {
 	ctr.Read(stats.StructTable, int64(h.store.NumPages()))
 }
 
+// ScanTopK is the exact floor every engine is judged against: one
+// sequential pass over t, charged as ScanPages(t) table reads, keeping the
+// k best matching tuples in core.WorseResult order. alive filters tuples
+// an engine has deleted but whose rows remain in t; nil keeps every row.
+// Tuples scoring +Inf are excluded. k <= 0 returns nothing and reads
+// nothing.
+func ScanTopK(t *table.Table, alive func(table.TID) bool, cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
+	if k <= 0 {
+		return nil
+	}
+	defer ctr.StartSpan("scan")()
+	ctr.Read(stats.StructTable, ScanPages(t))
+	topk := heap.NewBounded[core.Result](k, core.WorseResult)
+	buf := make([]float64, t.Schema().R())
+	for i := 0; i < t.Len(); i++ {
+		tid := table.TID(i)
+		if (alive != nil && !alive(tid)) || !t.Matches(tid, cond) {
+			continue
+		}
+		score := f.Eval(t.RankRow(tid, buf))
+		if math.IsInf(score, 1) {
+			continue
+		}
+		topk.Offer(core.Result{TID: tid, Score: score})
+	}
+	return topk.Sorted()
+}
+
 // TableScan is the TS baseline: read every page, keep the best k matches.
 type TableScan struct {
 	heap *HeapFile
@@ -83,23 +123,7 @@ func NewTableScan(h *HeapFile) *TableScan { return &TableScan{heap: h} }
 
 // TopK scans the relation.
 func (ts *TableScan) TopK(cond core.Cond, f ranking.Func, k int, ctr *stats.Counters) []core.Result {
-	defer ctr.StartSpan("scan")()
-	ts.heap.ScanAll(ctr)
-	t := ts.heap.t
-	topk := heap.NewBounded[core.Result](k, core.WorseResult)
-	buf := make([]float64, t.Schema().R())
-	for i := 0; i < t.Len(); i++ {
-		tid := table.TID(i)
-		if !t.Matches(tid, cond) {
-			continue
-		}
-		score := f.Eval(t.RankRow(tid, buf))
-		if math.IsInf(score, 1) {
-			continue
-		}
-		topk.Offer(core.Result{TID: tid, Score: score})
-	}
-	return topk.Sorted()
+	return ScanTopK(ts.heap.t, nil, cond, f, k, ctr)
 }
 
 // BooleanFirst evaluates boolean predicates through per-dimension inverted
@@ -117,7 +141,7 @@ func NewBooleanFirst(h *HeapFile) *BooleanFirst {
 	t := h.t
 	bf := &BooleanFirst{
 		heap:  h,
-		store: pager.NewStore(stats.StructBTree, h.store.PageSize()),
+		store: pager.NewStore(stats.StructBTree, pager.PageSize),
 	}
 	s := t.Schema().S()
 	bf.lists = make([][][]table.TID, s)

@@ -53,7 +53,7 @@ func sameScores(t *testing.T, got, want []core.Result) {
 
 func fixture() (*table.Table, *HeapFile) {
 	tb := table.Generate(table.GenSpec{T: 8000, S: 3, R: 2, Card: 5, Seed: 101})
-	return tb, NewHeapFile(tb, 0)
+	return tb, NewHeapFile(tb)
 }
 
 func randCond(rng *rand.Rand) core.Cond {
@@ -171,7 +171,7 @@ func TestRankMappingPrefixVsNonPrefix(t *testing.T) {
 
 func TestHeapFilePaging(t *testing.T) {
 	tb := table.Generate(table.GenSpec{T: 1000, S: 2, R: 2, Card: 3, Seed: 105})
-	h := NewHeapFile(tb, 4096)
+	h := NewHeapFile(tb)
 	rows := 4096 / tb.RowBytes()
 	wantPages := (1000 + rows - 1) / rows
 	if h.NumPages() != wantPages {

@@ -25,7 +25,7 @@ type ch3Env struct {
 }
 
 func newCh3Env(tb *table.Table, cubeCfg gridcube.Config) *ch3Env {
-	h := baselines.NewHeapFile(tb, 0)
+	h := baselines.NewHeapFile(tb)
 	return &ch3Env{
 		tb:   tb,
 		cube: gridcube.Build(tb, cubeCfg),
@@ -252,7 +252,7 @@ func fig3_11(cfg Config) *Report {
 	for _, s := range []int{3, 6, 9, 12} {
 		tb := dataset.Synthetic(cfg.T(3_000_000), s, 2, 20, table.Uniform, cfg.Seed)
 		cube := gridcube.Build(tb, gridcube.Config{FragmentSize: 2})
-		h := baselines.NewHeapFile(tb, 0)
+		h := baselines.NewHeapFile(tb)
 		blIdx := baselines.NewBooleanFirst(h)
 		rmIdx := baselines.NewRankMapping(tb, 0)
 		mb := func(v int64) float64 { return float64(v) / (1 << 20) }

@@ -49,7 +49,7 @@ func fig4_8(cfg Config) *Report {
 		pc.Points = append(pc.Points, Point{X: x, Value: ms(time.Since(start))})
 
 		start = time.Now()
-		h := baselines.NewHeapFile(tb, 0)
+		h := baselines.NewHeapFile(tb)
 		baselines.NewBooleanFirst(h)
 		bt.Points = append(bt.Points, Point{X: x, Value: ms(time.Since(start))})
 	}
@@ -88,7 +88,7 @@ func fig4_9(cfg Config) *Report {
 		x := fmt.Sprintf("%dM", millions)
 		tree := buildCh4Tree(tb)
 		cube := sigcube.BuildOnTree(tb, tree, sigcube.Config{})
-		h := baselines.NewHeapFile(tb, 0)
+		h := baselines.NewHeapFile(tb)
 		bf := baselines.NewBooleanFirst(h)
 		pc.Points = append(pc.Points, Point{X: x, Value: mb(cube.SizeBytes())})
 		rt.Points = append(rt.Points, Point{X: x, Value: mb(tree.Store().Bytes())})
@@ -170,7 +170,7 @@ func fig4_12(cfg Config) *Report {
 	tb := ch4Data(cfg, 1_000_000)
 	tree := buildCh4Tree(tb)
 	cube := sigcube.BuildOnTree(tb, tree, sigcube.Config{})
-	h := baselines.NewHeapFile(tb, 0)
+	h := baselines.NewHeapFile(tb)
 	boolean := baselines.NewBooleanFirst(h)
 	rankingFirst := baselines.NewRankingFirst(h, tree)
 
@@ -212,7 +212,7 @@ func fig4_13(cfg Config) *Report {
 	tb := ch4Data(cfg, 1_000_000)
 	tree := buildCh4Tree(tb)
 	cube := sigcube.BuildOnTree(tb, tree, sigcube.Config{})
-	h := baselines.NewHeapFile(tb, 0)
+	h := baselines.NewHeapFile(tb)
 	rankingFirst := baselines.NewRankingFirst(h, tree)
 
 	rep := &Report{ID: "fig4.13", Title: "Disk Access w.r.t. Functions",

@@ -63,7 +63,7 @@ func newCh5Env(cfg Config, thesisRows int) *ch5Env {
 	}
 	js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 	must(err)
-	return &ch5Env{tb: tb, idx: idx, js: js, heap: baselines.NewHeapFile(tb, 0)}
+	return &ch5Env{tb: tb, idx: idx, js: js, heap: baselines.NewHeapFile(tb)}
 }
 
 // ch5Func builds one of the §5.4.2 controlled functions.
@@ -197,7 +197,7 @@ func fig5_13(cfg Config) *Report {
 	}
 	js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 	must(err)
-	h := baselines.NewHeapFile(tb, 0)
+	h := baselines.NewHeapFile(tb)
 	ts := baselines.NewTableScan(h)
 
 	rep := &Report{ID: "fig5.13", Title: "Execution Time w.r.t. K, Real Data",
@@ -278,7 +278,7 @@ func fig5_14(cfg Config) *Report {
 		}
 		js, err := indexmerge.BuildJoinSignature(idx, tb.Len(), indexmerge.JoinSigConfig{})
 		must(err)
-		h := baselines.NewHeapFile(tb, 0)
+		h := baselines.NewHeapFile(tb)
 		ts := baselines.NewTableScan(h)
 		fsFor := func(qi int) ranking.Func {
 			rng := cfg.rng(int64(qi)*29 + int64(d))

@@ -47,7 +47,7 @@ func newCh7Env(tb *table.Table, fanout int) *ch7Env {
 		tb:     tb,
 		cube:   cube,
 		engine: skyline.NewEngine(cube),
-		heap:   baselines.NewHeapFile(tb, 0),
+		heap:   baselines.NewHeapFile(tb),
 	}
 }
 

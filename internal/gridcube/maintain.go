@@ -64,8 +64,10 @@ func (c *Cube) Delete(tid table.TID) bool {
 	return true
 }
 
-// Deleted reports whether a tuple is tombstoned.
-func (c *Cube) Deleted(tid table.TID) bool { return c.tombstones[tid] }
+// Alive reports whether tid is not tombstoned. Deleted tuples keep their
+// relation row until the next Repartition, so exact scans of the relation
+// must consult this.
+func (c *Cube) Alive(tid table.TID) bool { return !c.tombstones[tid] }
 
 // PendingMaintenance reports how much drift has accumulated: tuples
 // inserted since the last repartition plus tombstones. Callers repartition

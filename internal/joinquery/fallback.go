@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rankcube/internal/baselines"
 	"rankcube/internal/core"
 	"rankcube/internal/errs"
 	"rankcube/internal/heap"
@@ -28,9 +29,7 @@ func BruteForce(q Query, ctr *stats.Counters) ([]Result, error) {
 	buckets := make([]map[int32][]core.Result, len(q.Parts))
 	for i, p := range q.Parts {
 		t := p.Rel.T
-		rowBytes := t.RowBytes()
-		pages := (t.Len()*rowBytes + 4095) / 4096
-		ctr.Read(stats.StructTable, int64(pages))
+		ctr.Read(stats.StructTable, baselines.ScanPages(t))
 		buckets[i] = make(map[int32][]core.Result)
 		buf := make([]float64, t.Schema().R())
 		for j := 0; j < t.Len(); j++ {

@@ -16,6 +16,14 @@ type pathUpdate struct {
 	old, new []int
 }
 
+// Alive reports whether tid currently belongs to the partition. Deleted
+// tuples keep their relation row (tombstoned by absence from the tree), so
+// exact scans of the relation must consult this.
+func (c *Cube) Alive(tid table.TID) bool {
+	_, ok := c.paths[tid]
+	return ok
+}
+
 // Insert appends a tuple to the relation, inserts it into the partition
 // tree, and incrementally maintains every materialized signature (Alg. 2).
 // It returns the new tuple's id. Maintenance I/O is charged to ctr.

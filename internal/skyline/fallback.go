@@ -3,6 +3,7 @@ package skyline
 import (
 	"sort"
 
+	"rankcube/internal/baselines"
 	"rankcube/internal/stats"
 	"rankcube/internal/table"
 )
@@ -18,9 +19,7 @@ func (e *Engine) ScanSkyline(q Query, ctr *stats.Counters) ([]Result, *Snapshot,
 		return nil, nil, err
 	}
 	t := e.cube.Table()
-	rowBytes := t.RowBytes()
-	pages := (t.Len()*rowBytes + 4095) / 4096
-	ctr.Read(stats.StructTable, int64(pages))
+	ctr.Read(stats.StructTable, baselines.ScanPages(t))
 
 	var cands []Result
 	buf := make([]float64, t.Schema().R())

@@ -1,11 +1,11 @@
 package rankcube
 
-// Canonical ctx-first query API. Every engine exposes one Query-shaped
-// entry point taking a context and variadic Options; the legacy TopK /
-// TopKCtx forms are thin wrappers over these. All entry points funnel
-// through runQuery, the single boundary that attaches tracing, enforces
-// the budget, applies the degradation policy, records the query into the
-// process-wide metrics registry, and feeds the slow-query log.
+// The public query API. Every engine exposes one Query-shaped entry point
+// taking a context and variadic Options. All entry points funnel through
+// runQuery, the single boundary that attaches tracing, enforces the
+// budget, applies the degradation policy, records the query into the
+// process-wide metrics registry, and feeds the slow-query log. Every
+// top-k exact-scan fallback and baseline is baselines.ScanTopK.
 
 import (
 	"context"
@@ -21,6 +21,7 @@ import (
 	"rankcube/internal/indexmerge"
 	"rankcube/internal/joinquery"
 	"rankcube/internal/obs"
+	"rankcube/internal/sigcube"
 	"rankcube/internal/skyline"
 )
 
@@ -226,7 +227,7 @@ func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...
 	q := gridcube.Query{Cond: cond, F: f, K: k}
 	return runQuery(ctx, "grid.topk", cfg,
 		func(m *Metrics) ([]Result, error) { return g.c.TopK(q, m) },
-		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil })
+		func(m *Metrics) ([]Result, error) { return g.scan(cond, f, k, m), nil })
 }
 
 // BaselineQuery answers the same query as Query by the cube's governed,
@@ -237,10 +238,15 @@ func (g *GridCube) Query(ctx context.Context, cond Cond, f Func, k int, opts ...
 func (g *GridCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	cfg := applyOptions(opts)
 	cfg.ctls = []*guard.RW{g.c.Ctl()}
-	q := gridcube.Query{Cond: cond, F: f, K: k}
 	return runQuery(ctx, "grid.baseline", cfg,
-		func(m *Metrics) ([]Result, error) { return g.c.ScanTopK(q, m), nil },
+		func(m *Metrics) ([]Result, error) { return g.scan(cond, f, k, m), nil },
 		nil)
+}
+
+// scan is the grid cube's exact floor: a sequential scan of the base
+// relation that skips tombstoned tuples and touches no cube store.
+func (g *GridCube) scan(cond Cond, f Func, k int, m *Metrics) []Result {
+	return baselines.ScanTopK(g.c.Table(), g.c.Alive, cond, f, k, m)
 }
 
 // Query answers a multi-dimensional top-k query under ctx, degrading to
@@ -251,7 +257,7 @@ func (s *SignatureCube) Query(ctx context.Context, cond Cond, f Func, k int, opt
 	cfg.ctls = []*guard.RW{s.c.Ctl()}
 	return runQuery(ctx, "sig.topk", cfg,
 		func(m *Metrics) ([]Result, error) { return s.c.TopK(cond, f, k, m) },
-		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil })
+		func(m *Metrics) ([]Result, error) { return s.scan(cond, f, k, m), nil })
 }
 
 // BaselineQuery answers the same query as Query by the cube's governed,
@@ -261,8 +267,14 @@ func (s *SignatureCube) BaselineQuery(ctx context.Context, cond Cond, f Func, k 
 	cfg := applyOptions(opts)
 	cfg.ctls = []*guard.RW{s.c.Ctl()}
 	return runQuery(ctx, "sig.baseline", cfg,
-		func(m *Metrics) ([]Result, error) { return s.c.ScanTopK(cond, f, k, m), nil },
+		func(m *Metrics) ([]Result, error) { return s.scan(cond, f, k, m), nil },
 		nil)
+}
+
+// scan is the signature cube's exact floor: a sequential scan of the base
+// relation that skips deleted tuples and touches no cube store.
+func (s *SignatureCube) scan(cond Cond, f Func, k int, m *Metrics) []Result {
+	return baselines.ScanTopK(s.c.Table(), s.c.Alive, cond, f, k, m)
 }
 
 // InsertTuple appends a tuple and incrementally maintains all signatures
@@ -315,7 +327,7 @@ func (s *SignatureCube) OpenScan(ctx context.Context, cond Cond, f Func, opts ..
 	}
 	gov := governor.New(ctx, cfg.budget.limits())
 	m.SetGovernor(gov)
-	sc, err := func() (sc *Scanner, err error) {
+	sc, err := func() (sc *sigcube.Scanner, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = errs.FromPanic(r)
@@ -360,10 +372,7 @@ func MergeQuery(ctx context.Context, rel *Relation, indices []Index, f Func, k i
 			}
 			return indexmerge.TopK(indices, f, k, mo, m)
 		},
-		func(m *Metrics) ([]Result, error) {
-			h := baselines.NewHeapFile(rel, 0)
-			return baselines.NewTableScan(h).TopK(Cond{}, f, k, m), nil
-		})
+		func(m *Metrics) ([]Result, error) { return baselines.ScanTopK(rel, nil, nil, f, k, m), nil })
 }
 
 // JoinQuery answers a multi-relational top-k query under ctx: equality
@@ -386,6 +395,12 @@ func JoinQuery(ctx context.Context, parts []JoinPart, k int, opts ...Option) ([]
 	return runQuery(ctx, "join.topk", cfg,
 		func(m *Metrics) ([]JoinResult, error) { return joinquery.Execute(q, joinquery.Options{}, m) },
 		func(m *Metrics) ([]JoinResult, error) { return joinquery.BruteForce(q, m) })
+}
+
+// skyOut bundles the skyline result pair through runQuery.
+type skyOut struct {
+	res  []SkylineResult
+	snap *SkylineSnapshot
 }
 
 // Query computes the skyline of the tuples matching cond under ctx,
@@ -463,9 +478,6 @@ func (s *SkylineEngine) RollUpQuery(ctx context.Context, prev *SkylineSnapshot, 
 func TableScanQuery(ctx context.Context, rel *Relation, cond Cond, f Func, k int, opts ...Option) ([]Result, error) {
 	cfg := applyOptions(opts)
 	return runQuery(ctx, "scan.topk", cfg,
-		func(m *Metrics) ([]Result, error) {
-			h := baselines.NewHeapFile(rel, 0)
-			return baselines.NewTableScan(h).TopK(cond, f, k, m), nil
-		},
+		func(m *Metrics) ([]Result, error) { return baselines.ScanTopK(rel, nil, cond, f, k, m), nil },
 		nil)
 }

@@ -1,11 +1,9 @@
 package rankcube
 
 // Robustness & degradation layer: typed query errors, per-query budgets,
-// panic containment at the API boundary, and transparent fallback to exact
-// baseline scans when cube structures fault. See the package documentation
-// ("Robustness & degradation policy") for the rules. The legacy *Ctx entry
-// points here are thin wrappers over the canonical Option-based forms in
-// query.go, which own the boundary logic.
+// panic containment (runGoverned), and the governed scanner OpenScan
+// returns. See the package documentation ("Robustness & degradation
+// policy") for the rules; runQuery in query.go applies them.
 
 import (
 	"context"
@@ -15,6 +13,7 @@ import (
 	"rankcube/internal/governor"
 	"rankcube/internal/obs"
 	"rankcube/internal/pager"
+	"rankcube/internal/sigcube"
 )
 
 // PageStore is a block-granular page store backing a cube structure. It is
@@ -125,102 +124,18 @@ func runGoverned[T any](ctx context.Context, lim governor.Limits, m *Metrics, fn
 	return fn()
 }
 
-// ---------------------------------------------------------------------------
-// Legacy context-aware entry points (thin wrappers over query.go)
-// ---------------------------------------------------------------------------
-
-// TopKCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use GridCube.Query with WithBudget / WithMetrics.
-func (g *GridCube) TopKCtx(ctx context.Context, cond Cond, f Func, k int, b Budget, m *Metrics) ([]Result, error) {
-	return g.Query(ctx, cond, f, k, WithBudget(b), WithMetrics(m))
-}
-
-// TopKCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.Query with WithBudget / WithMetrics.
-func (s *SignatureCube) TopKCtx(ctx context.Context, cond Cond, f Func, k int, b Budget, m *Metrics) ([]Result, error) {
-	return s.Query(ctx, cond, f, k, WithBudget(b), WithMetrics(m))
-}
-
-// MergeTopKCtx is MergeQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use MergeQuery with WithBudget / WithMetrics.
-func MergeTopKCtx(ctx context.Context, rel *Relation, indices []Index, f Func, k int, opts MergeOptions, b Budget, m *Metrics) ([]Result, error) {
-	return MergeQuery(ctx, rel, indices, f, k, opts, WithBudget(b), WithMetrics(m))
-}
-
-// JoinCtx is JoinQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use JoinQuery with WithBudget / WithMetrics.
-func JoinCtx(ctx context.Context, parts []JoinPart, k int, b Budget, m *Metrics) ([]JoinResult, error) {
-	return JoinQuery(ctx, parts, k, WithBudget(b), WithMetrics(m))
-}
-
-// skyOut bundles the skyline result pair through the governed runner.
-type skyOut struct {
-	res  []SkylineResult
-	snap *SkylineSnapshot
-}
-
-// SkylineCtx is Query with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.Query with WithBudget / WithMetrics.
-func (s *SkylineEngine) SkylineCtx(ctx context.Context, cond Cond, dims []int, target []float64, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.Query(ctx, cond, dims, target, WithBudget(b), WithMetrics(m))
-}
-
-// DrillDownCtx is DrillDownQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.DrillDownQuery with WithBudget /
-// WithMetrics.
-func (s *SkylineEngine) DrillDownCtx(ctx context.Context, prev *SkylineSnapshot, extra Cond, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.DrillDownQuery(ctx, prev, extra, WithBudget(b), WithMetrics(m))
-}
-
-// RollUpCtx is RollUpQuery with an explicit Budget and Metrics.
-//
-// Deprecated: use SkylineEngine.RollUpQuery with WithBudget /
-// WithMetrics.
-func (s *SkylineEngine) RollUpCtx(ctx context.Context, prev *SkylineSnapshot, removeDims []int, b Budget, m *Metrics) ([]SkylineResult, *SkylineSnapshot, error) {
-	return s.RollUpQuery(ctx, prev, removeDims, WithBudget(b), WithMetrics(m))
-}
-
-// InsertCtx is InsertTuple with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.InsertTuple with WithBudget /
-// WithMetrics.
-func (s *SignatureCube) InsertCtx(ctx context.Context, sel []int32, rank []float64, b Budget, m *Metrics) (TID, error) {
-	return s.InsertTuple(ctx, sel, rank, WithBudget(b), WithMetrics(m))
-}
-
-// DeleteCtx is DeleteTuple with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.DeleteTuple with WithBudget /
-// WithMetrics.
-func (s *SignatureCube) DeleteCtx(ctx context.Context, tid TID, b Budget, m *Metrics) (bool, error) {
-	return s.DeleteTuple(ctx, tid, WithBudget(b), WithMetrics(m))
-}
-
 // GovernedScanner is a panic-contained, budget-governed score-ascending
 // iterator. Unlike the batch entry points it cannot transparently degrade —
 // a stream cannot restart without re-emitting — so faults surface as typed
 // errors from Next.
 type GovernedScanner struct {
-	s  *Scanner
+	s  *sigcube.Scanner
 	m  *Metrics
 	g  *governor.Governor
 	tr *obs.Trace
 	// unlock releases the cube's shared serving lock and admission slot the
 	// scanner has held since OpenScan; nil after Close has run once.
 	unlock func()
-}
-
-// ScanCtx is OpenScan with an explicit Budget and Metrics.
-//
-// Deprecated: use SignatureCube.OpenScan with WithBudget / WithMetrics.
-func (s *SignatureCube) ScanCtx(ctx context.Context, cond Cond, f Func, b Budget, m *Metrics) (*GovernedScanner, error) {
-	return s.OpenScan(ctx, cond, f, WithBudget(b), WithMetrics(m))
 }
 
 // Next returns the next matching tuple in ascending score order. ok is

@@ -12,6 +12,7 @@ import (
 
 	"rankcube/internal/admission"
 	"rankcube/internal/errs"
+	"rankcube/internal/guard"
 	"rankcube/internal/obs"
 	"rankcube/internal/pager"
 	"rankcube/internal/stats"
@@ -164,49 +165,80 @@ func probeOutcome(st *PageStore, err error) (readmitted bool) {
 // itself serves reads, not that the baseline can stand in for it.
 func probeBudget() Option { return WithBudget(Budget{DisableFallback: true}) }
 
+// repairTarget is one store a Repair pass covers: how to re-materialize
+// its content from the cube's maintained base data (returning the rebuilt
+// page count), and how to probe it through the public query path once it
+// is half-open.
+type repairTarget struct {
+	st      *PageStore
+	rebuild func() int
+	probe   func(ctx context.Context) error
+}
+
+// repair is the quarantine repair lifecycle both cubes share. Under ctl's
+// exclusive lock it lists the targets, re-verifies every store's
+// checksums page by page, rebuilds each store that fails (or is already
+// quarantined), and moves each repaired quarantined store to half-open.
+// With the lock released, it probes every half-open store through the
+// public query path (admission gate and shared lock included) and applies
+// the circuit-breaker decision. It returns one report per target and the
+// last probe failure, if any; a failed probe leaves its store quarantined
+// (storage fault) or half-open (inconclusive probe).
+func repair(ctx context.Context, ctl *guard.RW, list func() []repairTarget) ([]StoreRepair, error) {
+	var targets []repairTarget
+	var reports []StoreRepair
+	// The verification/rebuild span runs in its own frame so the release is
+	// deferred: VerifyPages and the rebuilds read through the pager and can
+	// abort on a storage fault, and a panic escaping a held lock would wedge
+	// the cube.
+	func() {
+		ctl.Lock()
+		defer ctl.Unlock()
+		targets = list()
+		reports = make([]StoreRepair, len(targets))
+		for i, t := range targets {
+			rep := StoreRepair{Kind: t.st.Kind()}
+			bad := t.st.VerifyPages()
+			rep.CorruptPages = len(bad)
+			if len(bad) > 0 || t.st.Quarantined() {
+				rep.Rebuilt = true
+				rep.RebuiltPages = t.rebuild()
+				obs.Default().RecordRepair(t.st.Kind(), rep.RebuiltPages)
+			}
+			if t.st.Quarantined() && len(t.st.VerifyPages()) == 0 {
+				t.st.EnterHalfOpen()
+			}
+			rep.Probed = t.st.State() == pager.StateHalfOpen
+			rep.State = t.st.State().String()
+			reports[i] = rep
+		}
+	}()
+
+	var probeErr error
+	for i, t := range targets {
+		if !reports[i].Probed {
+			continue
+		}
+		err := t.probe(ctx)
+		reports[i].Readmitted = probeOutcome(t.st, err)
+		reports[i].State = t.st.State().String()
+		if err != nil {
+			probeErr = err
+		}
+	}
+	return reports, probeErr
+}
+
 // Repair runs the quarantine repair lifecycle over the signature store:
 // page-by-page checksum re-verification, a rebuild of the store from the
 // cube's maintained state when pages fail (or the store is already
 // quarantined), half-open re-admission, and a probe query that must
-// actually read signature pages before the circuit closes. The verification
-// and rebuild hold the cube's control exclusively; the probe runs through
-// the public query path (admission gate and shared lock included). The
-// returned error is the probe's failure, if any; an error leaves the store
-// quarantined (storage fault) or half-open (inconclusive probe).
+// actually read signature pages before the circuit closes. The returned
+// error is the probe's failure, if any.
 func (s *SignatureCube) Repair(ctx context.Context) ([]StoreRepair, error) {
-	st := s.c.Store()
-	rep := StoreRepair{Kind: st.Kind()}
-
-	// The verification/rebuild span runs in its own frame so the release is
-	// deferred: VerifyPages and RebuildStore read through the pager and can
-	// abort on a storage fault, and a panic escaping a held lock would wedge
-	// the cube.
-	ctl := s.c.Ctl()
-	var needProbe bool
-	func() {
-		ctl.Lock()
-		defer ctl.Unlock()
-		bad := st.VerifyPages()
-		rep.CorruptPages = len(bad)
-		if len(bad) > 0 || st.Quarantined() {
-			rep.Rebuilt = true
-			rep.RebuiltPages = s.c.RebuildStore()
-			obs.Default().RecordRepair(st.Kind(), rep.RebuiltPages)
-		}
-		if st.Quarantined() && len(st.VerifyPages()) == 0 {
-			st.EnterHalfOpen()
-		}
-		needProbe = st.State() == pager.StateHalfOpen
-	}()
-
-	var probeErr error
-	if needProbe {
-		rep.Probed = true
-		probeErr = s.probeSignatureStore(ctx)
-		rep.Readmitted = probeOutcome(st, probeErr)
-	}
-	rep.State = st.State().String()
-	return []StoreRepair{rep}, probeErr
+	return repair(ctx, s.c.Ctl(), func() []repairTarget {
+		return []repairTarget{{st: s.c.Store(), rebuild: s.c.RebuildStore, probe: s.probeSignatureStore}}
+	})
 }
 
 // probeSignatureStore issues probe queries until one actually charges a
@@ -235,76 +267,53 @@ func (s *SignatureCube) probeSignatureStore(ctx context.Context) error {
 // query per repaired cuboid through the public query path. Uncompressed
 // cuboids and the base block table store only logical page sizes (no
 // payload to corrupt), so they verify trivially; the repair path matters
-// for CompressLists cubes. The returned error is the last probe failure,
-// if any.
+// for CompressLists cubes. The last report is the base block table's
+// state, which Repair does not rebuild. The returned error is the last
+// probe failure, if any.
 func (g *GridCube) Repair(ctx context.Context) ([]StoreRepair, error) {
-	type probe struct {
-		st   *PageStore
-		dims []int
-		idx  int
-	}
-	var reports []StoreRepair
-	var probes []probe
-
-	// As in (*SignatureCube).Repair: the rebuild span gets its own frame so
-	// the release is deferred against aborts inside VerifyPages/RebuildCuboid.
-	ctl := g.c.Ctl()
-	func() {
-		ctl.Lock()
-		defer ctl.Unlock()
+	var blocks *PageStore
+	reports, err := repair(ctx, g.c.Ctl(), func() []repairTarget {
+		blocks = g.c.Blocks().Store()
+		// Read the schema here, under the lock: Repartition swaps the
+		// cube's relation.
+		schema := g.c.Table().Schema()
+		f := sumAllRanks(schema.R())
+		var targets []repairTarget
 		for _, cb := range g.c.Cuboids() {
-			st := cb.Store()
-			rep := StoreRepair{Kind: st.Kind()}
-			bad := st.VerifyPages()
-			rep.CorruptPages = len(bad)
-			if len(bad) > 0 || st.Quarantined() {
-				rep.Rebuilt = true
-				rep.RebuiltPages = g.c.RebuildCuboid(cb)
-				obs.Default().RecordRepair(st.Kind(), rep.RebuiltPages)
-			}
-			if st.Quarantined() && len(st.VerifyPages()) == 0 {
-				st.EnterHalfOpen()
-			}
-			if st.State() == pager.StateHalfOpen {
-				probes = append(probes, probe{st: st, dims: cb.Dims(), idx: len(reports)})
-			}
-			rep.State = st.State().String()
-			reports = append(reports, rep)
+			dims := cb.Dims()
+			card := schema.SelCard[dims[0]]
+			targets = append(targets, repairTarget{
+				st:      cb.Store(),
+				rebuild: func() int { return g.c.RebuildCuboid(cb) },
+				probe:   func(ctx context.Context) error { return g.probeCuboid(ctx, dims, card, f) },
+			})
 		}
-		bt := g.c.Blocks().Store()
-		reports = append(reports, StoreRepair{Kind: bt.Kind(), State: bt.State().String()})
-	}()
+		return targets
+	})
+	return append(reports, StoreRepair{Kind: blocks.Kind(), State: blocks.State().String()}), err
+}
 
-	var probeErr error
-	f := sumAllRanks(g.c.Table().Schema().R())
-	for _, p := range probes {
-		// Target the repaired cuboid: a condition over exactly its
-		// dimensions makes the planner read its cells. Sweep the first
-		// dimension's values until a cube-store read is charged.
-		card := g.c.Table().Schema().SelCard[p.dims[0]]
-		var err error
-		for v := 0; v < card; v++ {
-			cond := Cond{}
-			for _, d := range p.dims {
-				cond[d] = 0
-			}
-			cond[p.dims[0]] = int32(v)
-			m := NewMetrics()
-			if _, err = g.Query(ctx, cond, f, 1, WithMetrics(m), probeBudget()); err != nil {
-				break
-			}
-			if m.ReadsSnapshot()[stats.StructCube] > 0 {
-				break
-			}
+// probeCuboid targets the cuboid over dims: a condition over exactly its
+// dimensions makes the planner read its cells. It sweeps the card values
+// of the first dimension until a probe charges a cube-store read,
+// returning the first query error, or nil when every probed cell was
+// empty.
+func (g *GridCube) probeCuboid(ctx context.Context, dims []int, card int, f Func) error {
+	for v := 0; v < card; v++ {
+		cond := Cond{}
+		for _, d := range dims {
+			cond[d] = 0
 		}
-		reports[p.idx].Probed = true
-		reports[p.idx].Readmitted = probeOutcome(p.st, err)
-		reports[p.idx].State = p.st.State().String()
-		if err != nil {
-			probeErr = err
+		cond[dims[0]] = int32(v)
+		m := NewMetrics()
+		if _, err := g.Query(ctx, cond, f, 1, WithMetrics(m), probeBudget()); err != nil {
+			return err
+		}
+		if m.ReadsSnapshot()[stats.StructCube] > 0 {
+			return nil
 		}
 	}
-	return reports, probeErr
+	return nil
 }
 
 // sumAllRanks is the probe ranking function: the unweighted sum over every
